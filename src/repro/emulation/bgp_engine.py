@@ -56,7 +56,7 @@ Decision process order (classic BGP best path):
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.emulation.intent import BgpNeighborIntent
@@ -124,6 +124,29 @@ class BgpRoute:
             self.learned_from or "",
             self.as_path,
         )
+
+
+def _derive(route: BgpRoute, **changes) -> BgpRoute:
+    """A copy of ``route`` with ``changes`` applied.
+
+    Equivalent to ``dataclasses.replace`` for the frozen
+    :class:`BgpRoute`, without its per-call walk over the fields and
+    keyword ``__init__``: the export->import pipeline derives two
+    routes per advertisement.
+    """
+    clone = object.__new__(BgpRoute)
+    state = clone.__dict__
+    state.update(route.__dict__)
+    state.update(changes)
+    return clone
+
+
+def _queue_order(item: tuple) -> tuple:
+    """Sort key of a (machine, prefix) queue entry, ordered as the tuple
+    itself sorts (``IPv4Network.__lt__``: network address, then mask
+    length) without a Python-level ``__lt__`` call per comparison."""
+    name, prefix = item
+    return name, int(prefix.network_address), prefix.prefixlen
 
 
 @dataclass
@@ -238,8 +261,14 @@ class BgpSimulation:
                 vendor_name, VENDOR_PROFILES["quagga"]
             )
         self.sessions = {}
+        #: machine -> the sessions an iBGP-learned route from a non-client
+        #: may be exported over: eBGP and route-reflector clients.
+        self._reflect_sessions: dict[str, list[Session]] = {}
         #: (local machine, peer machine) -> the local side's neighbor intent.
         self._intent_of: dict[tuple[str, str], BgpNeighborIntent] = {}
+        #: (receiver, sender) -> (sender's router-id, peer address string):
+        #: the per-session constants of ``_import``, filled on first use.
+        self._peer_fields: dict[tuple[str, str], tuple[str, str]] = {}
         old_local = self.local_routes
         old_sessions = self._session_config
         self._build_sessions()
@@ -398,6 +427,11 @@ class BgpSimulation:
                         % (name, session.peer)
                     )
             self.sessions[name] = alive
+            self._reflect_sessions[name] = [
+                session
+                for session in alive
+                if session.is_ebgp or session.intent.rr_client
+            ]
 
     def _originate(self) -> dict[str, dict]:
         local: dict[str, dict] = {}
@@ -457,7 +491,7 @@ class BgpSimulation:
                 communities = tuple(
                     sorted(set(communities) | set(added))
                 )
-            return replace(
+            return _derive(
                 route,
                 as_path=(device.bgp.asn,) * prepend + route.as_path,
                 next_hop=next_hop,
@@ -471,7 +505,7 @@ class BgpSimulation:
             next_hop = device.loopback or next_hop
         if next_hop is None:
             next_hop = device.loopback
-        return replace(
+        return _derive(
             route,
             next_hop=next_hop,
             originator=route.originator or sender,
@@ -490,17 +524,21 @@ class BgpSimulation:
 
     def _import(self, receiver: str, sender: str, route: BgpRoute, session: Session):
         """Apply receive-side checks and policy; None means rejected."""
-        device = self.network.machines[receiver]
-        vendor = self.vendors[receiver]
-        receiving_intent = self._intent_of.get((receiver, sender))
+        key = (receiver, sender)
+        receiving_intent = self._intent_of.get(key)
         if receiving_intent is None:
             return None
-        sender_device = self.network.machines[sender]
-        peer_router_id = (
-            sender_device.bgp.router_id
-            or (str(sender_device.loopback) if sender_device.loopback else "0.0.0.0")
-        )
+        try:
+            peer_router_id, peer_address = self._peer_fields[key]
+        except KeyError:
+            sender_device = self.network.machines[sender]
+            peer_router_id = sender_device.bgp.router_id or (
+                str(sender_device.loopback) if sender_device.loopback else "0.0.0.0"
+            )
+            peer_address = str(receiving_intent.peer_ip)
+            self._peer_fields[key] = (peer_router_id, peer_address)
         if session.is_ebgp:
+            device = self.network.machines[receiver]
             if device.bgp.asn in route.as_path:
                 return None  # AS-path loop
             denied = getattr(receiving_intent, "deny_in", ()) or ()
@@ -509,9 +547,12 @@ class BgpSimulation:
                 for net in denied
             ):
                 return None  # inbound prefix filter
-            local_pref = receiving_intent.local_pref_in or vendor.default_local_pref
+            local_pref = (
+                receiving_intent.local_pref_in
+                or self.vendors[receiver].default_local_pref
+            )
             return self._intern(
-                replace(
+                _derive(
                     route,
                     local_pref=local_pref,
                     learned_via="ebgp",
@@ -519,19 +560,19 @@ class BgpSimulation:
                     from_client=False,
                     originator=None,
                     peer_router_id=peer_router_id,
-                    peer_address=str(receiving_intent.peer_ip),
+                    peer_address=peer_address,
                 )
             )
         if route.originator == receiver:
             return None  # reflection loop back to the originator
         return self._intern(
-            replace(
+            _derive(
                 route,
                 learned_via="ibgp",
                 learned_from=sender,
                 from_client=receiving_intent.rr_client,
                 peer_router_id=peer_router_id,
-                peer_address=str(receiving_intent.peer_ip),
+                peer_address=peer_address,
             )
         )
 
@@ -797,7 +838,6 @@ class BgpSimulation:
         seen: dict[tuple, int] = {}
         history: list[dict] = []
         messages = 0
-
         saved = self._event_state
         # A partially-run schedule's RIBs are useless to a later
         # resume; drop the stored state now and put back a fresh one
@@ -865,6 +905,12 @@ class BgpSimulation:
             if resume_from is not None:
                 metric_inc("bgp.resume_full")
 
+        # The state key is assembled from per-machine parts; a part is
+        # recomputed only after its machine's table changed.
+        table_keys = {
+            name: self._table_key(table) for name, table in selected.items()
+        }
+        changed_tables: set[str] = set()
         for round_index in range(max_rounds + 1):
             # Queue depth per round is *the* visibility into what the
             # event-driven schedule saves: the reference rebuilds every
@@ -872,7 +918,10 @@ class BgpSimulation:
             metric_observe(
                 "bgp.queue_depth", len(pending_exports) + len(pending_decides)
             )
-            state = self._state_key(selected)
+            for name in changed_tables:
+                table_keys[name] = self._table_key(selected[name])
+            changed_tables = set()
+            state = tuple((name, table_keys[name]) for name in sorted(selected))
             if self.keep_history:
                 history.append(self._snapshot(selected))
             if state in seen:
@@ -904,11 +953,17 @@ class BgpSimulation:
             seen[state] = round_index
 
             # Propagate: recompute contributions of changed selections.
-            for sender, prefix in sorted(pending_exports):
+            for sender, prefix in sorted(pending_exports, key=_queue_order):
                 route = selected.get(sender, {}).get(prefix)
                 new_map: dict = {}
                 if route is not None:
-                    for session in self.sessions.get(sender, []):
+                    # An iBGP-learned route from a non-client can only
+                    # pass ``_can_export`` on eBGP and client sessions.
+                    if route.learned_via == "ibgp" and not route.from_client:
+                        sessions = self._reflect_sessions.get(sender, [])
+                    else:
+                        sessions = self.sessions.get(sender, [])
+                    for session in sessions:
                         if not self._can_export(route, session):
                             continue
                         imported = self._advertise(sender, route, session)
@@ -935,7 +990,7 @@ class BgpSimulation:
 
             # Decide: re-run the decision process where inputs changed.
             pending_exports = set()
-            for receiver, prefix in sorted(pending_decides):
+            for receiver, prefix in sorted(pending_decides, key=_queue_order):
                 device = self.network.machines.get(receiver)
                 if device is None or device.bgp is None:
                     continue
@@ -945,7 +1000,10 @@ class BgpSimulation:
                     candidates.append(local)
                 candidates.extend(rib_in[receiver].get(prefix, {}).values())
                 best = self.decide(receiver, candidates)
-                table = selected.setdefault(receiver, {})
+                table = selected.get(receiver)
+                if table is None:
+                    table = selected[receiver] = {}
+                    changed_tables.add(receiver)
                 previous = table.get(prefix)
                 if best is None:
                     table.pop(prefix, None)
@@ -953,6 +1011,7 @@ class BgpSimulation:
                     table[prefix] = best
                 if best != previous:
                     pending_exports.add((receiver, prefix))
+                    changed_tables.add(receiver)
             pending_decides = set()
 
         return BgpResult(
@@ -965,12 +1024,16 @@ class BgpSimulation:
             messages=messages,
         )
 
-    @staticmethod
-    def _state_key(selected: dict) -> tuple:
+    @classmethod
+    def _state_key(cls, selected: dict) -> tuple:
         return tuple(
-            (name, tuple(sorted(route.selection_key() for route in table.values())))
-            for name, table in sorted(selected.items())
+            (name, cls._table_key(table)) for name, table in sorted(selected.items())
         )
+
+    @staticmethod
+    def _table_key(table: dict) -> tuple:
+        """One machine's part of the state key."""
+        return tuple(sorted(route.selection_key() for route in table.values()))
 
     @staticmethod
     def _snapshot(selected: dict) -> dict:

@@ -18,8 +18,18 @@ through area border routers (ABRs), always transiting the backbone
 exactly the summary-LSA arithmetic.
 
 Routes are computed lazily per source machine (Dijkstra on demand,
-cached), which keeps thousand-router labs workable: the NREN-scale
-experiment only ever asks for a handful of sources.
+cached).  BGP next-hop resolution asks for every router's table at
+boot, so on the NREN model all 1158 tables are built; each build must
+therefore cost what the source's own IGP domain costs, not the whole
+lab.  When every machine runs in the backbone only (one area per
+domain, as the designed labs have), a route table visits just the
+machines its backbone SPF reached.  That is exact: a machine the SPF
+did not reach shares no area with the source other than the backbone,
+and backbone-to-backbone has no inter-area path, so the full per-machine
+loop would find no route to it either.  Multi-area labs keep the full
+loop.  Each table build is timed into the ``ospf.route_table_ms``
+histogram, because the BGP decision process triggers most of them and
+so bills their time to ``emulation.bgp``.
 
 Two recomputation modes govern what happens when the fabric changes
 under a running lab (:meth:`IgpState.rebuild`):
@@ -45,12 +55,13 @@ from __future__ import annotations
 
 import heapq
 import ipaddress
+import time
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.emulation.network import EmulatedNetwork
 from repro.exceptions import EmulationError
-from repro.observability import metric_inc
+from repro.observability import metric_inc, metric_observe
 
 BACKBONE = 0
 
@@ -108,12 +119,17 @@ class IgpState:
         self._route_deps: dict[str, frozenset] = {}
         #: source -> connected-network fingerprint at compute time.
         self._route_connected: dict[str, tuple] = {}
-        #: source -> {address: cost} memo for cost_to_address; lives
-        #: and dies with the source's entry in the routes cache.
+        #: source -> {int(address): cost} memo for cost_to_address;
+        #: lives and dies with the source's entry in the routes cache.
         self._cost_memo: dict[str, dict] = {}
-        #: source -> [(version, shift, netint, metric)] — the source's
-        #: route table as integer masks; same lifetime as the memo.
-        self._route_match: dict[str, list] = {}
+        #: source -> {(version, host bits): {network int: metric}} — the
+        #: source's route table as integer masks; same lifetime as the
+        #: memo.
+        self._route_match: dict[str, dict] = {}
+        #: machine name -> position in ``network.machines``.
+        self._machine_order: dict[str, int] = {}
+        #: True when every machine's only area is the backbone.
+        self._backbone_only = False
         self._dep_collector: Optional[set] = None
         #: Machines whose IGP view may differ from the last time the
         #: BGP layer consumed this set (see consume_dirty_sources).
@@ -224,6 +240,12 @@ class IgpState:
                 self._route_connected.pop(source, None)
                 self._cost_memo.pop(source, None)
                 self._route_match.pop(source, None)
+        # A source without a route table has only memoised answers from
+        # its own addresses and connected networks, which this delta
+        # may have moved; nothing fingerprints them, so drop them.
+        for source in list(self._cost_memo):
+            if source not in self._routes_cache:
+                del self._cost_memo[source]
         metric_inc("ospf.routes_invalidated", invalidated_routes)
         metric_inc("ospf.routes_retained", len(self._routes_cache))
         # the single number the incremental-vs-full comparison needs:
@@ -292,6 +314,12 @@ class IgpState:
             areas.update(area for _, area in self.advertised_prefixes(device))
             if areas:
                 self.machine_areas[name] = areas
+        self._machine_order = {
+            name: index for index, name in enumerate(self.network.machines)
+        }
+        self._backbone_only = all(
+            areas == {BACKBONE} for areas in self.machine_areas.values()
+        )
 
     @staticmethod
     def _advertised_area(device, interface) -> Optional[int]:
@@ -507,10 +535,14 @@ class IgpState:
         deps: set[tuple[str, int]] = set()
         previous_collector = self._dep_collector
         self._dep_collector = deps
+        started = time.perf_counter()
         try:
             table = self._compute_routes(source)
         finally:
             self._dep_collector = previous_collector
+        metric_observe(
+            "ospf.route_table_ms", (time.perf_counter() - started) * 1000.0
+        )
         if previous_collector is not None:
             previous_collector.update(deps)
         self._routes_cache[source] = table
@@ -529,18 +561,47 @@ class IgpState:
             tuple(sorted(str(a) for a in device.addresses())),
         )
 
-    def _compute_routes(self, source: str) -> dict[ipaddress.IPv4Network, IgpRoute]:
-        connected = set(self.network.connected_networks(source))
-        table: dict[ipaddress.IPv4Network, IgpRoute] = {}
-        for machine, device in self.network.machines.items():
+    def _best_paths(self, source: str):
+        """(machine, device, (route type, metric, first hop)) for every
+        machine ``source`` has a path to, in ``network.machines`` order.
+
+        In an all-backbone lab only the machines the source's backbone
+        SPF reached can have a path (see the module docstring), so only
+        they are visited.  The SPF is asked for exactly when the full
+        loop would ask for it — some other machine runs in an area — so
+        SPF counts and recorded dependencies are the same either way.
+        """
+        machines = self.network.machines
+        if self._backbone_only:
+            if source not in self.machine_areas or len(self.machine_areas) < 2:
+                return
+            distances, hops = self.spf(source, BACKBONE)
+            order = self._machine_order
+            for machine in sorted(
+                (name for name in distances if name != source),
+                key=order.__getitem__,
+            ):
+                yield machine, machines[machine], (
+                    "intra",
+                    int(distances[machine]),
+                    hops.get(machine),
+                )
+            return
+        for machine, device in machines.items():
             if machine == source or (device.ospf is None and device.isis is None):
                 continue
             paths = self._machine_paths(source, machine)
-            if not paths:
-                continue
-            route_type, metric, next_hop = min(
-                paths, key=lambda option: (option[1], option[0])
-            )
+            if paths:
+                yield machine, device, min(
+                    paths, key=lambda option: (option[1], option[0])
+                )
+
+    def _compute_routes(self, source: str) -> dict[ipaddress.IPv4Network, IgpRoute]:
+        connected = set(self.network.connected_networks(source))
+        table: dict[ipaddress.IPv4Network, IgpRoute] = {}
+        for machine, device, (route_type, metric, next_hop) in self._best_paths(
+            source
+        ):
             if next_hop is None:
                 continue
             for prefix, _ in self.advertised_prefixes(device):
@@ -571,49 +632,50 @@ class IgpState:
         The BGP decision process uses this as the "lowest IGP metric to
         the next hop" step; ``None`` means the next hop is unresolvable
         and the route is invalid.  Answers are memoised per source and
-        dropped exactly when that source's route table is invalidated,
-        so repeated resolutions across reconvergence cycles are O(1)
-        for every machine the topology delta did not touch.
+        dropped when that source's route table is invalidated (or, for a
+        source that never built one, on every rebuild), so repeated
+        resolutions across reconvergence cycles are O(1) for every
+        machine the topology delta did not touch.
         """
         if not isinstance(
             address, (ipaddress.IPv4Address, ipaddress.IPv6Address)
         ):
             address = ipaddress.ip_address(str(address))
+        addr_int = int(address)
+        # IPv6 keeps the address itself so it never collides with an
+        # IPv4 integer.
+        key = addr_int if address.version == 4 else address
         memo = self._cost_memo.setdefault(source, {})
         try:
-            return memo[address]
+            return memo[key]
         except KeyError:
             pass
         source_device = self.network.device(source)
         best: Optional[int] = None
-        if source_device.owns_address(address) or any(
+        if address in source_device.addresses() or any(
             address in network_
             for network_ in self.network.connected_networks(source)
         ):
             best = 0
         else:
-            # The route table rendered down to integer masks once,
-            # then every lookup is shift-and-compare — the decision
-            # process resolves thousands of next hops against the same
-            # table during one reconvergence.
+            # The route table rendered down to one integer dict per
+            # prefix length, so a lookup probes each length once
+            # instead of scanning every route; the answer is still the
+            # lowest metric over every matching prefix.
             match = self._route_match.get(source)
             if match is None:
-                match = [
-                    (
-                        prefix.version,
-                        prefix.max_prefixlen - prefix.prefixlen,
-                        int(prefix.network_address)
-                        >> (prefix.max_prefixlen - prefix.prefixlen),
-                        route.metric,
-                    )
-                    for prefix, route in self.routes(source).items()
-                ]
+                match = {}
+                for prefix, route in self.routes(source).items():
+                    shift = prefix.max_prefixlen - prefix.prefixlen
+                    match.setdefault((prefix.version, shift), {})[
+                        int(prefix.network_address) >> shift
+                    ] = route.metric
                 self._route_match[source] = match
-            addr_int = int(address)
             version = address.version
-            for route_version, shift, net, metric in match:
-                if route_version == version and (addr_int >> shift) == net:
-                    if best is None or metric < best:
+            for (route_version, shift), nets in match.items():
+                if route_version == version:
+                    metric = nets.get(addr_int >> shift)
+                    if metric is not None and (best is None or metric < best):
                         best = metric
-        memo[address] = best
+        memo[key] = best
         return best

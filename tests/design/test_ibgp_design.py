@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import european_nren_model
+from repro.anm import unwrap_graph
 from repro.design import (
     assign_route_reflectors_by_centrality,
     build_anm,
@@ -11,6 +13,7 @@ from repro.design import (
     build_phy,
     ibgp_session_count,
 )
+from repro.design.ibgp import IBGP_RETAIN
 from repro.loader import bad_gadget_topology, multi_as_topology, small_internet
 
 
@@ -18,6 +21,23 @@ def _phy_anm(graph):
     anm = build_anm(graph)
     build_phy(anm)
     return anm
+
+
+def _eq2_mesh(anm):
+    """Eq. 2 taken literally: every (i, j) in N x N with equal ASNs."""
+    routers = anm["phy"].routers()
+    g_ibgp = anm.add_overlay("ibgp", routers, retain=IBGP_RETAIN, directed=True)
+    g_ibgp.add_edges_from(
+        (
+            (src, dst)
+            for src in routers
+            for dst in routers
+            if src.asn == dst.asn and str(src.node_id) < str(dst.node_id)
+        ),
+        bidirected=True,
+        session_type="peer",
+    )
+    return g_ibgp
 
 
 def test_full_mesh_session_count(si_anm):
@@ -122,3 +142,44 @@ def test_centrality_minimum_respected():
     anm = _phy_anm(graph)
     chosen = assign_route_reflectors_by_centrality(anm, fraction=0.0, minimum=2)
     assert len(chosen) == 2
+
+
+@pytest.mark.parametrize(
+    "graph_factory",
+    [
+        lambda: multi_as_topology(n_ases=4, routers_per_as=6, seed=3),
+        lambda: european_nren_model(scale=0.05),
+    ],
+    ids=["multi_as_4", "nren_0.05"],
+)
+def test_full_mesh_equals_eq2_over_all_router_pairs(graph_factory):
+    """Grouping by AS emits the N x N comprehension's sessions, in its
+    order, with its attributes."""
+    graph = graph_factory()
+    mesh = unwrap_graph(build_ibgp_full_mesh(_phy_anm(graph)))
+    naive = unwrap_graph(_eq2_mesh(_phy_anm(graph)))
+    assert list(mesh.nodes(data=True)) == list(naive.nodes(data=True))
+    assert list(mesh.edges(data=True)) == list(naive.edges(data=True))
+    assert mesh.number_of_edges() > 0
+    assert {data["session_type"] for _, _, data in mesh.edges(data=True)} == {"peer"}
+
+
+def test_route_reflection_fallback_mesh_is_eq2_within_the_as():
+    graph = multi_as_topology(n_ases=4, routers_per_as=5, seed=3)
+    graph.nodes["as1r1"]["rr"] = True  # ASes 2-4 fall back to a mesh
+    anm = _phy_anm(graph)
+    g_ibgp = build_ibgp_route_reflection(anm)
+    routers = anm["phy"].routers()
+    for asn in (2, 3, 4):
+        members = [node.node_id for node in routers if node.asn == asn]
+        expected = []
+        for src in members:
+            for dst in members:
+                if str(src) < str(dst):
+                    expected += [(src, dst), (dst, src)]
+        got = [
+            (edge.src_id, edge.dst_id, edge.session_type)
+            for edge in g_ibgp.edges()
+            if edge.src.asn == asn
+        ]
+        assert sorted(got) == sorted((src, dst, "peer") for src, dst in expected)
